@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
@@ -105,9 +104,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		for i, r := range rows {
 			records[i] = MeasureRecord{Region: cube.Region{Grain: m.Grain, Coord: r.coords}, Value: r.value}
 		}
-		sort.Slice(records, func(i, j int) bool {
-			return cube.EncodeCoords(records[i].Region.Coord) < cube.EncodeCoords(records[j].Region.Coord)
-		})
+		sortMeasureRecords(records)
 		out.Measures[m.Name] = records
 	}
 	return out, nil

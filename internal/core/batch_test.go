@@ -14,10 +14,11 @@ import (
 
 // TestEvaluateBatchMatchesSequentialByteIdentical is the shared-scan
 // property test: for random workflow sets, a batched evaluation must be
-// byte-identical, per query, to running each query alone — across both
-// transports, both sort modes, forced reduce-side spills, and morsel mode
-// on/off. stableBits workflows keep rollup folds order-independent, so
-// "identical" really is canonical-bytes equality, not float tolerance.
+// byte-identical, per query, to running each query alone — across a
+// pairwise cover of both transports, both sort modes and morsel mode
+// on/off, with forced reduce-side spills. stableBits workflows keep rollup
+// folds order-independent, so "identical" really is canonical-bytes
+// equality, not float tolerance.
 func TestEvaluateBatchMatchesSequentialByteIdentical(t *testing.T) {
 	su := workload.NewSuite()
 	seeds := 8
@@ -37,42 +38,45 @@ func TestEvaluateBatchMatchesSequentialByteIdentical(t *testing.T) {
 			ds := MemoryDataset(su.Schema, records, 2+rng.Intn(5))
 			reducers := 1 + rng.Intn(6)
 
-			for _, tp := range []struct {
-				name    string
-				factory transport.Factory
+			// A pairwise cover of transport × sort mode × morsel mode:
+			// every pair of knob values meets in at least one leg.
+			for _, leg := range []struct {
+				transport   string
+				sortMode    SortMode
+				morselBytes int
 			}{
-				{"channel", nil},
-				{"tcp", transport.TCPFactory(64)},
+				{"channel", TwoPassSort, 0},
+				{"channel", CombinedKeySort, 512},
+				{"tcp", TwoPassSort, 512},
+				{"tcp", CombinedKeySort, 0},
 			} {
-				for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
-					for _, morselBytes := range []int{0, 512} {
-						label := fmt.Sprintf("transport=%s sort=%d morsel=%d", tp.name, sortMode, morselBytes)
-						cfg := Config{
-							NumReducers:     reducers,
-							Transport:       tp.factory,
-							SortMode:        sortMode,
-							SortMemoryItems: 2, // force reduce-side spills
-							MorselBytes:     morselBytes,
-							TempDir:         t.TempDir(),
-						}
-						eng, err := NewEngine(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						batch, err := eng.EvaluateBatch(ws, ds)
-						if err != nil {
-							t.Fatalf("%s: batch: %v", label, err)
-						}
-						for i, w := range ws {
-							seq, err := eng.Run(w, ds)
-							if err != nil {
-								t.Fatalf("%s: sequential query %d: %v", label, i, err)
-							}
-							if got, want := canonicalOutput(batch.Results[i]), canonicalOutput(seq); got != want {
-								t.Errorf("%s: query %d: batched output differs byte-wise from sequential\nbatched:\n%s\nsequential:\n%s",
-									label, i, got, want)
-							}
-						}
+				label := fmt.Sprintf("transport=%s sort=%d morsel=%d", leg.transport, leg.sortMode, leg.morselBytes)
+				cfg := Config{
+					NumReducers:     reducers,
+					SortMode:        leg.sortMode,
+					SortMemoryItems: 2, // force reduce-side spills
+					MorselBytes:     leg.morselBytes,
+					TempDir:         t.TempDir(),
+				}
+				if leg.transport == "tcp" {
+					cfg.Transport = transport.TCPFactory(64)
+				}
+				eng, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := eng.EvaluateBatch(ws, ds)
+				if err != nil {
+					t.Fatalf("%s: batch: %v", label, err)
+				}
+				for i, w := range ws {
+					seq, err := eng.Run(w, ds)
+					if err != nil {
+						t.Fatalf("%s: sequential query %d: %v", label, i, err)
+					}
+					if got, want := canonicalOutput(batch.Results[i]), canonicalOutput(seq); got != want {
+						t.Errorf("%s: query %d: batched output differs byte-wise from sequential\nbatched:\n%s\nsequential:\n%s",
+							label, i, got, want)
 					}
 				}
 			}

@@ -161,10 +161,12 @@ type Config struct {
 	// answered. A full-query manifest additionally lets an identical
 	// repeated query skip the job (and its input scan) entirely.
 	// Reuse needs a settled dataset identity: only StageFull runs over
-	// datasets with a non-empty Tag and known NumRecords participate
-	// (the batch path always recomputes). Correctness leans on the
-	// pinned determinism of per-block results: byte-identical answers
-	// across cache states are property-tested.
+	// datasets with a non-empty Tag and known NumRecords participate.
+	// Reuse is a one-member-job feature: in EvaluateBatch the queries
+	// that run alone (early-aggregated ones) probe and fill the cache,
+	// while members of the shared-scan job recompute. Correctness leans
+	// on the pinned determinism of per-block results: byte-identical
+	// answers across cache states are property-tested.
 	ResultCache *blockstore.ResultCache
 	// Seed drives sampling.
 	Seed int64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -241,27 +242,47 @@ func TestEngineTCPTransport(t *testing.T) {
 	compare(t, "tcp", want, flatten(res))
 }
 
+// TestEngineStages runs every Stage with early aggregation off and on:
+// stage-stopped runs complete without output, simulated cost is monotone
+// across stages (the Figure 4(d) shape), and under early aggregation the
+// Sort stage prices exactly the partial-state merge the full run does.
 func TestEngineStages(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(1000, workload.Uniform, 13)
 	ds := MemoryDataset(su.Schema, records, 2)
-	w := su.Q5()
+	for _, tc := range []struct {
+		q     int
+		early EarlyAggMode
+	}{{5, EarlyAggOff}, {1, EarlyAggOff}, {1, EarlyAggOn}} {
+		w := mustQ(t, su, tc.q)
+		label := fmt.Sprintf("q%d early=%d", tc.q, tc.early)
+		run := func(stage Stage) *Result {
+			return runEngine(t, Config{NumReducers: 2, Stage: stage, EarlyAggregation: tc.early}, w, ds)
+		}
+		mapOnly, shuffle, sorted, full := run(StageMapOnly), run(StageShuffle), run(StageSort), run(StageFull)
 
-	mapOnly := runEngine(t, Config{NumReducers: 2, Stage: StageMapOnly}, w, ds)
-	shuffle := runEngine(t, Config{NumReducers: 2, Stage: StageShuffle}, w, ds)
-	sorted := runEngine(t, Config{NumReducers: 2, Stage: StageSort}, w, ds)
-	full := runEngine(t, Config{NumReducers: 2, Stage: StageFull}, w, ds)
-
-	if mapOnly.TotalRecords() != 0 || shuffle.TotalRecords() != 0 || sorted.TotalRecords() != 0 {
-		t.Error("stage-stopped runs produced output")
-	}
-	if full.TotalRecords() == 0 {
-		t.Error("full run produced no output")
-	}
-	// Simulated cost must be monotone across stages (Figure 4(d) shape).
-	tm, ts, tso, tf := mapOnly.Estimate.Total(), shuffle.Estimate.Total(), sorted.Estimate.Total(), full.Estimate.Total()
-	if !(tm < ts && ts < tso && tso <= tf) {
-		t.Errorf("stage costs not monotone: map=%.2f mr=%.2f sort=%.2f full=%.2f", tm, ts, tso, tf)
+		if mapOnly.TotalRecords() != 0 || shuffle.TotalRecords() != 0 || sorted.TotalRecords() != 0 {
+			t.Errorf("%s: stage-stopped runs produced output", label)
+		}
+		if full.TotalRecords() == 0 {
+			t.Errorf("%s: full run produced no output", label)
+		}
+		tm, ts, tso, tf := mapOnly.Estimate.Total(), shuffle.Estimate.Total(), sorted.Estimate.Total(), full.Estimate.Total()
+		if !(tm < ts && ts < tso && tso <= tf) {
+			t.Errorf("%s: stage costs not monotone: map=%.2f mr=%.2f sort=%.2f full=%.2f", label, tm, ts, tso, tf)
+		}
+		if tc.early == EarlyAggOn {
+			var merged, evaluated int64
+			for _, rt := range sorted.Stats.ReduceTasks {
+				merged += rt.GroupSortItems
+			}
+			for _, rt := range full.Stats.ReduceTasks {
+				evaluated += rt.EvalRecords
+			}
+			if merged == 0 || merged != evaluated {
+				t.Errorf("%s: Sort stage merged %d partial states, full run evaluated %d", label, merged, evaluated)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/casm-project/casm/internal/blockstore"
-	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
@@ -21,12 +20,8 @@ func SaveResults(st *blockstore.Store, name string, res *Result, blockSize int) 
 	var rows [][]byte
 	for m, records := range res.Measures {
 		for _, r := range records {
-			buf := make([]byte, 0, len(m)+2+len(r.Region.Coord)*3+8)
-			var tmp [binary.MaxVarintLen64]byte
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(m)))]...)
-			buf = append(buf, m...)
-			buf = append(buf, encodeMeasureRecord(r.Region.Coord, r.Value)...)
-			rows = append(rows, buf)
+			buf := binary.AppendUvarint(make([]byte, 0, len(m)+2+len(r.Region.Coord)*3+8), uint64(len(m)))
+			rows = append(rows, appendMeasureRecord(append(buf, m...), r.Region.Coord, r.Value))
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -69,7 +64,7 @@ func LoadResults(st *blockstore.Store, name string, w *workflow.Workflow) (map[s
 	if err != nil {
 		return nil, err
 	}
-	arity := w.Schema().NumAttrs()
+	c := &collector{arity: w.Schema().NumAttrs()}
 	out := make(map[string][]MeasureRecord)
 	for _, b := range blocks {
 		data, err := st.ReadBlock(name, b.Index)
@@ -94,14 +89,9 @@ func LoadResults(st *blockstore.Store, name string, w *workflow.Workflow) (map[s
 			if !okM {
 				return nil, fmt.Errorf("core: result for unknown measure %q", mName)
 			}
-			coords, v, err := decodeMeasureRecord(payload[n+int(nameLen):], arity)
-			if err != nil {
+			if err := c.add(out, m, payload[n+int(nameLen):]); err != nil {
 				return nil, err
 			}
-			out[mName] = append(out[mName], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
 		}
 	}
 	return out, nil

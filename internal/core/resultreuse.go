@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
 	"github.com/casm-project/casm/internal/blockstore"
-	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workflow"
@@ -125,7 +123,7 @@ func (ru *resultReuse) commit() {
 // path, mapping canonical measure indices back to this workflow's
 // interned names. The emitted rows are byte-identical to what a fresh
 // evaluation of the block would have produced.
-func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byte) error {
+func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, m *memberReduce, rows []byte) error {
 	for off := 0; off < len(rows); {
 		idx, payload, next, err := readCachedRow(rows, off)
 		if err != nil {
@@ -134,83 +132,49 @@ func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byt
 		if idx >= len(ru.canon) {
 			return fmt.Errorf("core: cached row references measure %d of %d", idx, len(ru.canon))
 		}
-		name := ru.canon[idx].Name
-		kb, ok := rl.names[name]
-		if !ok {
-			kb = []byte(name)
-			rl.names[name] = kb
-		}
-		ctx.EmitStable(kb, append([]byte(nil), payload...))
+		ctx.EmitStable(m.key(ru.canon[idx].Name), append([]byte(nil), payload...))
 		off = next
 	}
 	return nil
 }
 
-// resultFromCache assembles the whole answer from a committed manifest,
-// bypassing the job entirely. Any gap — manifest missing, an entry
-// evicted since commit, a row that fails to decode — falls back to
-// running the job; reuse can be slow-pathed, never wrong.
-func (e *Engine) resultFromCache(w *workflow.Workflow, ds *Dataset, ru *resultReuse, outcome PlanOutcome) (*Result, bool) {
+// resultFromCache assembles the member's whole answer from a committed
+// manifest through the pipeline's collector, bypassing the job entirely.
+// Any gap — manifest missing, an entry evicted since commit, a row that
+// fails to decode — falls back to running the job; reuse can be
+// slow-pathed, never wrong.
+//
+// The returned stats are one synthetic reduce task whose only non-zero
+// counters are the reuse ones — all priced at zero, so the simulated time
+// is a single task overhead: the cost of answering from cache.
+func resultFromCache(ru *resultReuse, m *member, c *collector) (*Result, mr.JobStats, bool) {
 	keys, ok := ru.rc.Manifest(ru.queryKey)
 	if !ok {
-		return nil, false
+		return nil, mr.JobStats{}, false
 	}
-	out := &Result{
-		Measures:      make(map[string][]MeasureRecord, len(w.Measures())),
-		Plan:          outcome.Plan,
-		SampledPlan:   outcome.Sampled,
-		SampleSeconds: outcome.SampleSeconds,
-		PlanCached:    outcome.DecisionCached,
-		ResultReused:  true,
-	}
-	arity := ds.Schema.NumAttrs()
+	res := newResult(m, false)
+	res.ResultReused = true
 	var hits, served int64
 	for _, k := range keys {
 		rows, ok := ru.rc.Get([]byte(k))
 		if !ok {
-			return nil, false
+			return nil, mr.JobStats{}, false
 		}
 		hits++
 		served += int64(len(rows))
 		for off := 0; off < len(rows); {
 			idx, payload, next, err := readCachedRow(rows, off)
-			if err != nil || idx >= len(ru.canon) {
-				return nil, false
+			if err != nil || idx >= len(ru.canon) || c.add(res.Measures, ru.canon[idx], payload) != nil {
+				return nil, mr.JobStats{}, false
 			}
-			m := ru.canon[idx]
-			coords, v, err := decodeMeasureRecord(payload, arity)
-			if err != nil {
-				return nil, false
-			}
-			out.Measures[m.Name] = append(out.Measures[m.Name], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
 			off = next
 		}
 	}
-	// Same canonical output order as the job path (RunWithPlanContext),
-	// so the reused result is byte-identical to the one it replays.
-	var ea, eb []byte
-	for name := range out.Measures {
-		ms := out.Measures[name]
-		sort.Slice(ms, func(i, j int) bool {
-			ea = cube.AppendCoords(ea[:0], ms[i].Region.Coord)
-			eb = cube.AppendCoords(eb[:0], ms[j].Region.Coord)
-			return bytes.Compare(ea, eb) < 0
-		})
-	}
-	// The run's stats are one synthetic reduce task whose only non-zero
-	// counters are the reuse ones — all priced at zero, so the simulated
-	// time is a single task overhead: the cost of answering from cache.
-	out.Stats = mr.JobStats{ReduceTasks: []mr.TaskStats{{
+	return res, mr.JobStats{ReduceTasks: []mr.TaskStats{{
 		Task:             "reduce-cache",
 		ResultCacheHits:  hits,
 		ResultCacheBytes: served,
-	}}}
-	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
-	out.Estimate.ReduceSeconds += outcome.SampleSeconds
-	return out, true
+	}}}, true
 }
 
 // --- cached-row codec ---

@@ -272,6 +272,65 @@ func TestResultReuseDisabledWithoutTag(t *testing.T) {
 	}
 }
 
+// TestResultReuseBatch covers EvaluateBatch under a result cache, the
+// combination a service's batch endpoint runs. Under EarlyAggAuto the
+// algebraic queries run alone with early aggregation and reuse results;
+// the holistic ones share a scan and recompute. A cold batch, a warm
+// repeat and sequential runs must agree byte for byte.
+func TestResultReuseBatch(t *testing.T) {
+	su := workload.NewSuite()
+	records := su.Generate(2500, workload.Uniform, 31)
+	_, ds := storeDataset(t, su, records)
+	rc, err := blockstore.NewResultCache(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ws := []*workflow.Workflow{su.Q1(), su.Q6(), su.Q2(), renameMeasures(t, su.Q6())}
+	alone := map[int]bool{0: true, 2: true}
+
+	cfg := Config{NumReducers: 3, EarlyAggregation: EarlyAggAuto, TempDir: t.TempDir()}
+	seqEng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ResultCache = rc
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := eng.EvaluateBatch(ws, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := eng.EvaluateBatch(ws, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.SharedScanQueries(); got != 2 {
+		t.Errorf("cold batch: SharedScanQueries() = %d, want 2", got)
+	}
+	for i, w := range ws {
+		seq, err := seqEng.Run(w, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resultBytes(t, seq)
+		if !bytes.Equal(resultBytes(t, cold.Results[i]), want) || !bytes.Equal(resultBytes(t, warm.Results[i]), want) {
+			t.Errorf("query %d: batched output differs byte-wise from sequential", i)
+		}
+		if cold.Results[i].ResultReused {
+			t.Errorf("query %d: cold batch claims reuse", i)
+		}
+		if warm.Results[i].ResultReused != alone[i] {
+			t.Errorf("query %d: warm ResultReused = %v, want %v", i, warm.Results[i].ResultReused, alone[i])
+		}
+		if hits, _, _ := sumReduce(warm.Results[i]); !alone[i] && hits != 0 {
+			t.Errorf("query %d: shared member read %d cached blocks, want a recompute", i, hits)
+		}
+	}
+}
+
 // TestResultReuseInvalidatedByReingest: Delete + re-ingest under the
 // same name with *identical cardinality* must not serve the previous
 // incarnation's cached results — the store's delete generation folds

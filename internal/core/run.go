@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/stats"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -47,16 +45,9 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 	if err := ctx.Err(); err != nil {
 		return PlanOutcome{}, err
 	}
-	n := ds.NumRecords
-	if n == 0 {
-		counted, err := CountRecords(ds)
-		if err != nil {
-			return PlanOutcome{}, err
-		}
-		if counted == 0 {
-			counted = 1
-		}
-		n = counted
+	n, err := cardinality(ds)
+	if err != nil {
+		return PlanOutcome{}, err
 	}
 	optCfg := optimizer.Config{
 		NumReducers:         e.cfg.NumReducers,
@@ -157,6 +148,16 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 	return out, nil
 }
 
+// cardinality returns the dataset's record count, counting with one scan
+// when it is unknown; an empty dataset counts as one record.
+func cardinality(ds *Dataset) (int64, error) {
+	if ds.NumRecords != 0 {
+		return ds.NumRecords, nil
+	}
+	n, err := CountRecords(ds)
+	return max(n, 1), err
+}
+
 // sampleDataset reservoir-samples up to n records from a handful of
 // evenly spaced splits, the way the paper's mappers sample the data they
 // acquire before the simulated dispatch.
@@ -230,372 +231,20 @@ func (e *Engine) RunWithPlan(w *workflow.Workflow, ds *Dataset, outcome PlanOutc
 	return e.RunWithPlanContext(context.Background(), w, ds, outcome)
 }
 
-// jobStart is a launched evaluation job: the streaming output pipe plus
-// the plan facts consumers need to decode and label it.
-type jobStart struct {
-	pipe  *mr.Pipe
-	plan  optimizer.Plan
-	early bool
-	arity int
-	// reuse is the run's result-reuse session (nil when reuse does not
-	// apply). The job fills it per block; only a consumer that drains the
-	// job to completion may commit its manifest.
-	reuse *resultReuse
-}
-
-// startJob builds the evaluation job for the workflow under the given
-// plan outcome and starts it, returning the streaming output. The caller
-// owns the pipe and must Close it on every path. RunWithPlanContext
-// drains it into a materialized Result; EvaluateStream hands it to the
-// caller row by row.
-func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*jobStart, error) {
-	s := ds.Schema
-	plan := outcome.Plan
-	bm, err := distkey.NewBlockMapper(s, plan.Key, plan.ClusteringFactor)
-	if err != nil {
-		return nil, fmt.Errorf("core: plan not executable: %w", err)
-	}
-	ev, err := localeval.New(w)
-	if err != nil {
-		return nil, err
-	}
-
-	early := false
-	switch e.cfg.EarlyAggregation {
-	case EarlyAggOn:
-		if err := ev.SupportsEarlyAggregation(); err != nil {
-			return nil, err
-		}
-		early = true
-	case EarlyAggAuto:
-		early = ev.SupportsEarlyAggregation() == nil
-	}
-	combined := e.cfg.SortMode == CombinedKeySort && !early
-
-	arity := s.NumAttrs()
-	basics := w.Basics()
-
-	// Each map task gets a distkey.Session (scratch + block-key intern
-	// cache for allocation-free per-record key generation) plus a combined
-	// key scratch; each reduce task additionally gets a localeval.Session
-	// — the arena-backed evaluator state reused across all of the task's
-	// groups.
-	newMapLocal := func(st *mr.TaskStats) any {
-		return &mapLocal{dk: bm.NewSession(), rec: make(cube.Record, arity)}
-	}
-	newReduceLocal := func(st *mr.TaskStats) any {
-		return &reduceLocal{
-			dk:    bm.NewSession(),
-			ev:    ev.NewSession(),
-			names: make(map[string][]byte, len(basics)+len(w.Measures())),
-		}
-	}
-
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		ml := ctx.Local.(*mapLocal)
-		sess := ml.dk
-		rec := ml.rec // per-task decode buffer: Blocks only reads it
-		if err := recio.DecodeRecordInto(raw, rec); err != nil {
-			return err
-		}
-		for _, block := range sess.Blocks(rec) {
-			key := block // interned: allocated once per distinct block per task
-			if combined {
-				// Emit retains the key, so the composite block+record
-				// bytes must be owned by the pair; the task arena gives
-				// them a stable home at one allocation per 64KiB of keys
-				// instead of one per pair.
-				key = ml.combinedKey(block, raw)
-			}
-			if err := ctx.Emit(key, raw); err != nil {
-				return err
-			}
-		}
-		ctx.Stats.KeyCacheHits = sess.Hits
-		return nil
-	}
-
-	var combinerFactory mr.CombinerFactory
-	if early {
-		combinerFactory = func(st *mr.TaskStats) mr.Combiner {
-			return newEarlyAggCombiner(s, basics, st)
-		}
-	}
-
-	ru := e.newResultReuse(w, ds, plan)
-
-	reduceFn := func(ctx *mr.ReduceCtx, blockKey []byte, values *mr.GroupIter) error {
-		rl := ctx.Local.(*reduceLocal)
-		es := rl.ev
-		switch e.cfg.Stage {
-		case StageShuffle:
-			return values.Drain()
-		case StageSort:
-			if err := loadGroup(values, es); err != nil {
-				return err
-			}
-			ctx.Stats.GroupSortItems += int64(es.SortLoaded())
-			ctx.Stats.EvalArenaBytes = es.ArenaBytes
-			return nil
-		}
-		// Result-cache probe: a hit serves the block's owned rows straight
-		// from the cache (the shuffled records are drained unread, their
-		// evaluation skipped); a miss evaluates normally and captures the
-		// emitted rows for the cache on the way out.
-		fill := false
-		if ru != nil {
-			rl.cacheKey = append(append(rl.cacheKey[:0], ru.prefix...), blockKey...)
-			if rows, ok := ru.rc.Get(rl.cacheKey); ok {
-				ctx.Stats.ResultCacheHits++
-				ctx.Stats.ResultCacheBytes += int64(len(rows))
-				if err := values.Drain(); err != nil {
-					return err
-				}
-				ru.note(rl.cacheKey)
-				ctx.Stats.KeyCacheHits = rl.dk.Hits
-				return ru.emitCached(ctx, rl, rows)
-			}
-			ctx.Stats.ResultCacheMisses++
-			fill = true
-			rl.capture = rl.capture[:0]
-		}
-		var results []localeval.Result
-		var est localeval.Stats
-		if early {
-			groups, pairs, err := collectPartials(values, basics, arity)
-			if err != nil {
-				return err
-			}
-			results, est, err = es.EvaluateFromBasics(groups)
-			if err != nil {
-				return err
-			}
-			ctx.Stats.EvalRecords += pairs
-			// Merging the partial states requires grouping them by
-			// (measure, region); Hadoop does this by sorting, so the cost
-			// model prices it like the in-group sort it replaces.
-			ctx.Stats.GroupSortItems += pairs
-		} else {
-			if err := loadGroup(values, es); err != nil {
-				return err
-			}
-			var err error
-			results, est, err = es.EvaluateBlock(localeval.Options{
-				SkipSort: combined,
-				Scan:     e.cfg.LocalScan,
-			})
-			if err != nil {
-				return err
-			}
-			ctx.Stats.EvalRecords += est.ScannedRecords
-		}
-		ctx.Stats.GroupSortItems += est.SortedItems
-		ctx.Stats.WindowLookups += est.WindowLookups
-		// Ownership filter (Section III-B.2): only the block owning a
-		// result's region may output it; duplicated and partial results in
-		// overlapping neighbours are dropped here. The task session's
-		// intern cache makes each Owner probe allocation-free. Results
-		// alias the evaluator session's arenas and are only valid inside
-		// this group — emitting copies what survives the filter.
-		sess := rl.dk
-		for _, r := range results {
-			if !bytes.Equal(sess.Owner(r.Region), blockKey) {
-				continue
-			}
-			// Encode into the task scratch, then copy once at exact size:
-			// the value is handed off to the output, the key is interned
-			// per task so every record of a measure shares one key slice.
-			rl.enc = appendMeasureRecord(rl.enc[:0], r.Region.Coord, r.Value)
-			kb, ok := rl.names[r.Measure]
-			if !ok {
-				kb = []byte(r.Measure)
-				rl.names[r.Measure] = kb
-			}
-			ctx.EmitStable(kb, append([]byte(nil), rl.enc...))
-			if fill {
-				idx, ok := ru.canonIdx[r.Measure]
-				if !ok {
-					// Unmappable measure name: drop the fill and poison the
-					// manifest rather than cache an incomplete block.
-					fill = false
-					ru.markIncomplete()
-					continue
-				}
-				rl.capture = appendCachedRow(rl.capture, idx, rl.enc)
-			}
-		}
-		if fill {
-			ru.rc.Put(rl.cacheKey, append([]byte(nil), rl.capture...))
-			ru.note(rl.cacheKey)
-		}
-		ctx.Stats.KeyCacheHits = sess.Hits
-		ctx.Stats.EvalArenaBytes = es.ArenaBytes
-		ctx.Stats.AggPoolHits = es.PoolHits
-		return nil
-	}
-
-	// Grouping mode: block grouping and early aggregation only need pairs
-	// grouped by block, so GroupAuto resolves to the hash collector; the
-	// combined-key sort genuinely needs the full-key order and keeps the
-	// external sorter (its composite keys also make GroupBy non-trivial).
-	groupMode := e.cfg.GroupMode
-	if combined {
-		if groupMode == mr.GroupHash {
-			return nil, fmt.Errorf("core: GroupHash is incompatible with CombinedKeySort (the combined key's secondary order needs the sorted path)")
-		}
-		groupMode = mr.GroupSort
-	}
-	job := mr.Job{
-		Name:   "casm",
-		Input:  ds.Input,
-		Map:    mapFn,
-		Reduce: reduceFn,
-		Config: mr.Config{
-			NumReducers:       e.cfg.NumReducers,
-			Executor:          e.cfg.Executor,
-			MapParallelism:    e.cfg.MapParallelism,
-			ReduceParallelism: e.cfg.ReduceParallelism,
-			Transport:         e.cfg.Transport,
-			NewCombiner:       combinerFactory,
-			ShuffleDisabled:   e.cfg.Stage == StageMapOnly,
-			GroupMode:         groupMode,
-			MorselBytes:       e.cfg.MorselBytes,
-			LocalAggBudget:    e.cfg.LocalAggBudget,
-			SortMemoryItems:   e.cfg.SortMemoryItems,
-			TempDir:           e.cfg.TempDir,
-			NewMapLocal:       newMapLocal,
-			NewReduceLocal:    newReduceLocal,
-			FailureInjector:   e.cfg.FailureInjector,
-		},
-	}
-	if combined {
-		// Zero-alloc group identity: the block key is a prefix sub-slice
-		// of the combined shuffle key.
-		job.Config.GroupBy = func(key []byte) []byte { return key[:blockPrefixLen(key, arity)] }
-	}
-	if e.cfg.Stage == StageMapOnly {
-		job.Reduce = nil
-	}
-	pipe, err := mr.RunPipe(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	return &jobStart{pipe: pipe, plan: plan, early: early, arity: arity, reuse: ru}, nil
-}
-
 // RunWithPlanContext executes the workflow under an explicit plan
 // outcome; see EvaluateContext for the execution and cancellation
-// contract.
-//
-// The job's output is streamed: batches of measure records are decoded
-// into the result as reduce tasks emit them, concurrently with the rest
-// of the reduce phase, instead of materializing one all-reducers []Pair
-// first. The emitted Value buffers become garbage batch by batch and the
-// batch slices recycle through the transport pool, so peak memory holds
-// the decoded result, not the decoded result plus its full wire form.
+// contract. The query runs as a one-member job of the evaluation
+// pipeline (see materialize).
 func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*Result, error) {
-	// Whole-query reuse: a committed manifest for this exact (dataset,
-	// workflow structure, plan) assembles the answer without a job — no
-	// input bytes scanned, no shuffle. Falls through on any gap.
-	if ru := e.newResultReuse(w, ds, outcome.Plan); ru != nil {
-		if out, ok := e.resultFromCache(w, ds, ru, outcome); ok {
-			return out, nil
-		}
-	}
-	js, err := e.startJob(ctx, w, ds, outcome)
+	m, err := newMember(0, w, outcome)
 	if err != nil {
 		return nil, err
 	}
-	pipe, arity := js.pipe, js.arity
-	defer pipe.Close() // tears the job down on assembly-error paths
-
-	out := &Result{
-		Measures:        make(map[string][]MeasureRecord, len(w.Measures())),
-		Plan:            js.plan,
-		SampledPlan:     outcome.Sampled,
-		EarlyAggregated: js.early,
-		SampleSeconds:   outcome.SampleSeconds,
-		PlanCached:      outcome.DecisionCached,
-	}
-	// Output assembly is per record, so it probes instead of allocating:
-	// measure lookups go through an interned-name cache keyed by the raw
-	// key bytes, and region coordinates are decoded into chunked arena
-	// storage (one allocation per coordChunk coordinates; handed-out
-	// sub-slices keep aliasing abandoned chunks).
-	byKey := make(map[string]*workflow.Measure, len(w.Measures()))
-	const coordChunk = 4096
-	var coordArena []int64
-	for {
-		_, pairs, ok, err := pipe.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		for _, p := range pairs {
-			m, ok := byKey[string(p.Key)]
-			if !ok {
-				name := string(p.Key)
-				if m, ok = w.Measure(name); !ok {
-					return nil, fmt.Errorf("core: output for unknown measure %q", name)
-				}
-				byKey[name] = m
-			}
-			if len(p.Value) < 8 {
-				return nil, fmt.Errorf("core: truncated measure record")
-			}
-			if cap(coordArena)-len(coordArena) < arity {
-				size := coordChunk
-				if arity > size {
-					size = arity
-				}
-				coordArena = make([]int64, 0, size)
-			}
-			start := len(coordArena)
-			coordArena = coordArena[:start+arity]
-			coords := coordArena[start : start+arity : start+arity]
-			if err := cube.DecodeCoordsInto(p.Value[:len(p.Value)-8], coords); err != nil {
-				return nil, err
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p.Value[len(p.Value)-8:]))
-			out.Measures[m.Name] = append(out.Measures[m.Name], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
-		}
-		transport.RecycleBatch(pairs)
-	}
-	if err := pipe.Close(); err != nil {
+	results, _, err := e.materialize(ctx, ds, []*member{m})
+	if err != nil {
 		return nil, err
 	}
-	out.Stats = pipe.Stats()
-	if outcome.DecisionCached && len(out.Stats.MapTasks) > 0 {
-		// One reused plan per job; stamped on the first map task so the
-		// jobwide sum reads "plans this job did not recompute".
-		out.Stats.MapTasks[0].PlanCacheHits = 1
-	}
-	// Batches arrive in reduce-completion order, but every measure's
-	// records are sorted by encoded coordinates below — a total order,
-	// since the ownership filter emits each region exactly once — so the
-	// canonical result bytes are independent of arrival interleaving.
-	var ea, eb []byte // reused encode scratch for the output sort
-	for name := range out.Measures {
-		ms := out.Measures[name]
-		sort.Slice(ms, func(i, j int) bool {
-			ea = cube.AppendCoords(ea[:0], ms[i].Region.Coord)
-			eb = cube.AppendCoords(eb[:0], ms[j].Region.Coord)
-			return bytes.Compare(ea, eb) < 0
-		})
-	}
-	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
-	out.Estimate.ReduceSeconds += outcome.SampleSeconds
-	// The run drained every reduce group, so its touched-entry set is the
-	// complete answer: publish the manifest for whole-query reuse.
-	if js.reuse != nil {
-		js.reuse.commit()
-	}
-	return out, nil
+	return results[0], nil
 }
 
 // EstimateFromStats converts substrate counters into a simulated response
@@ -660,14 +309,11 @@ func encodeMeasureRecord(coords []int64, v float64) []byte {
 }
 
 func decodeMeasureRecord(b []byte, arity int) ([]int64, float64, error) {
-	if len(b) < 8 {
-		return nil, 0, fmt.Errorf("core: truncated measure record")
-	}
 	coords := make([]int64, arity)
-	if err := cube.DecodeCoordsInto(b[:len(b)-8], coords); err != nil {
+	v, err := decodeRow(b, coords)
+	if err != nil {
 		return nil, 0, err
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b[len(b)-8:]))
 	return coords, v, nil
 }
 
@@ -843,101 +489,11 @@ func decodePartial(b []byte, arity int) (int, []int64, []byte, error) {
 	return idx, coords, state, nil
 }
 
-// mapLocal is one map task's reusable state (mr.Config.NewMapLocal).
-type mapLocal struct {
-	dk *distkey.Session
-	// rec is the task's record decode buffer, reused across records
-	// (nothing downstream retains it — block keys are interned copies).
-	rec cube.Record
-	// chunk is the current combined-key arena chunk. Combined keys are
-	// unique per pair (block prefix + raw record), so they cannot be
-	// interned; the arena instead amortizes their storage to one
-	// allocation per chunk.
-	chunk []byte
-	// chunkNext is the next chunk's capacity: chunks grow geometrically
-	// from combinedKeyChunkMin to combinedKeyChunkMax, so the many tasks
-	// that emit only a few combined keys (sliding windows off, small
-	// splits) don't each pin a fixed 64KiB.
-	chunkNext int
-}
-
-const (
-	combinedKeyChunkMin = 256
-	combinedKeyChunkMax = 1 << 16
-)
-
-// combinedKey appends block+raw into the task arena and returns the
-// stable composite key. A full chunk is abandoned (kept alive by the
-// emitted keys pointing into it) and a fresh one started, so handed-out
-// keys are never moved or logically extended by later appends.
-func (ml *mapLocal) combinedKey(block, raw []byte) []byte {
-	need := len(block) + len(raw)
-	if cap(ml.chunk)-len(ml.chunk) < need {
-		size := ml.chunkNext
-		if size < combinedKeyChunkMin {
-			size = combinedKeyChunkMin
-		}
-		if next := size * 2; next <= combinedKeyChunkMax {
-			ml.chunkNext = next
-		} else {
-			ml.chunkNext = combinedKeyChunkMax
-		}
-		if need > size {
-			size = need
-		}
-		ml.chunk = make([]byte, 0, size)
-	}
-	start := len(ml.chunk)
-	ml.chunk = append(append(ml.chunk, block...), raw...)
-	return ml.chunk[start:len(ml.chunk):len(ml.chunk)]
-}
-
-// reduceLocal is one reduce task's reusable state
-// (mr.Config.NewReduceLocal): the block-key intern session and the
-// arena-backed evaluator session, both shared across all of the task's
-// groups.
-type reduceLocal struct {
-	dk *distkey.Session
-	ev *localeval.Session
-	// enc is the output-record encode scratch; names interns one stable
-	// []byte per measure name for EmitStable (output keys are retained by
-	// the framework uncopied, so they must never be scratch).
-	enc   []byte
-	names map[string][]byte
-	// cacheKey and capture are the result-reuse scratch: the probe key of
-	// the current group and the cached-row encoding of its emitted output
-	// (both copied before the cache retains them).
-	cacheKey []byte
-	capture  []byte
-}
-
-// loadGroup streams a group's raw records straight into the evaluator
-// session's columnar arena — one flat decode per record, no per-record
-// slice allocations.
-func loadGroup(values *mr.GroupIter, es *localeval.Session) error {
-	for {
-		p, ok, err := values.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := es.AppendRaw(p.Value); err != nil {
-			return err
-		}
-	}
-}
-
 // collectPartials materializes and merges a group's partial aggregates.
 func collectPartials(values *mr.GroupIter, basics []*workflow.Measure, arity int) (map[string][]localeval.BasicGroup, int64, error) {
-	type group struct {
-		coords []int64
-		agg    measure.Aggregator
-	}
-	perBasic := make([]map[string]*group, len(basics))
+	perBasic := make([]map[string]*partialGroup, len(basics))
 	for i := range perBasic {
-		perBasic[i] = make(map[string]*group)
+		perBasic[i] = make(map[string]*partialGroup)
 	}
 	var pairs int64
 	for {
@@ -964,7 +520,7 @@ func collectPartials(values *mr.GroupIter, basics []*workflow.Measure, arity int
 			if err != nil {
 				return nil, 0, err
 			}
-			g = &group{coords: coords, agg: basics[idx].Agg.New()}
+			g = &partialGroup{coords: coords, agg: basics[idx].Agg.New()}
 			perBasic[idx][string(ck)] = g
 		}
 		if err := g.agg.MergeState(state); err != nil {

@@ -153,15 +153,9 @@ func (s *Service) Register(name string, ds *Dataset) error {
 		return fmt.Errorf("core: dataset %q needs a schema and an input", name)
 	}
 	d := *ds
-	if d.NumRecords == 0 {
-		n, err := CountRecords(&d)
-		if err != nil {
-			return fmt.Errorf("core: counting dataset %q: %w", name, err)
-		}
-		if n == 0 {
-			n = 1
-		}
-		d.NumRecords = n
+	var err error
+	if d.NumRecords, err = cardinality(ds); err != nil {
+		return fmt.Errorf("core: counting dataset %q: %w", name, err)
 	}
 	if d.Tag == "" {
 		d.Tag = "svc:" + name
@@ -195,15 +189,11 @@ func (s *Service) RegisterFile(name string, schema *cube.Schema, path string, bl
 				}
 			}
 			if ds.NumRecords == 0 {
-				n, cerr := CountRecords(ds)
-				if cerr != nil {
+				var cerr error
+				if ds.NumRecords, cerr = cardinality(ds); cerr != nil {
 					return fmt.Errorf("core: counting dataset %q: %w", name, cerr)
 				}
-				if n == 0 {
-					n = 1
-				}
-				ds.NumRecords = n
-				if merr := s.store.PutMeta(key, []byte(strconv.FormatInt(n, 10))); merr != nil {
+				if merr := s.store.PutMeta(key, []byte(strconv.FormatInt(ds.NumRecords, 10))); merr != nil {
 					return fmt.Errorf("core: memoizing cardinality of %q: %w", name, merr)
 				}
 			}

@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
-	"math"
 
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -38,9 +34,7 @@ type ResultRow struct {
 // call (coordinates decode into a reused buffer); Measure is an interned
 // string, safe to retain.
 type ResultStream struct {
-	eng  *Engine
-	pipe *mr.Pipe
-	w    *workflow.Workflow
+	job *job
 
 	// Plan facts, valid immediately.
 	Plan            optimizer.Plan
@@ -48,11 +42,7 @@ type ResultStream struct {
 	EarlyAggregated bool
 	SampleSeconds   float64
 
-	arity  int
-	byKey  map[string]*workflow.Measure
 	coords []int64
-	cur    []transport.Pair
-	i      int
 	rows   int64
 }
 
@@ -68,77 +58,59 @@ func (e *Engine) EvaluateStream(ctx context.Context, w *workflow.Workflow, ds *D
 	if err != nil {
 		return nil, err
 	}
-	js, err := e.startJob(ctx, w, ds, outcome)
+	m, err := newMember(0, w, outcome)
+	if err != nil {
+		return nil, err
+	}
+	j, err := e.startJob(ctx, ds, []*member{m})
 	if err != nil {
 		return nil, err
 	}
 	return &ResultStream{
-		eng:             e,
-		pipe:            js.pipe,
-		w:               w,
-		Plan:            js.plan,
+		job:             j,
+		Plan:            outcome.Plan,
 		SampledPlan:     outcome.Sampled,
-		EarlyAggregated: js.early,
+		EarlyAggregated: j.early,
 		SampleSeconds:   outcome.SampleSeconds,
-		arity:           js.arity,
-		byKey:           make(map[string]*workflow.Measure, len(w.Measures())),
-		coords:          make([]int64, js.arity),
+		coords:          make([]int64, j.arity),
 	}, nil
 }
 
 // Next returns the next result row; ok=false ends the stream (err, if
 // any, is the job's). See ResultStream for ownership.
 func (s *ResultStream) Next() (ResultRow, bool, error) {
-	for s.i >= len(s.cur) {
-		if s.cur != nil {
-			transport.RecycleBatch(s.cur)
-			s.cur = nil
-		}
-		_, pairs, ok, err := s.pipe.NextBatch()
-		if err != nil || !ok {
-			return ResultRow{}, false, err
-		}
-		s.cur, s.i = pairs, 0
-	}
-	p := s.cur[s.i]
-	s.i++
-	m, ok := s.byKey[string(p.Key)]
+	r, row, ok, err := s.job.next()
 	if !ok {
-		name := string(p.Key)
-		if m, ok = s.w.Measure(name); !ok {
-			return ResultRow{}, false, fmt.Errorf("core: output for unknown measure %q", name)
-		}
-		s.byKey[name] = m
-	}
-	if len(p.Value) < 8 {
-		return ResultRow{}, false, fmt.Errorf("core: truncated measure record")
-	}
-	if err := cube.DecodeCoordsInto(p.Value[:len(p.Value)-8], s.coords); err != nil {
 		return ResultRow{}, false, err
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.Value[len(p.Value)-8:]))
+	v, err := decodeRow(row, s.coords)
+	if err != nil {
+		return ResultRow{}, false, err
+	}
 	s.rows++
 	return ResultRow{
-		Measure: m.Name,
-		Region:  cube.Region{Grain: m.Grain, Coord: s.coords},
+		Measure: r.m.Name,
+		Region:  cube.Region{Grain: r.m.Grain, Coord: s.coords},
 		Value:   v,
 	}, true, nil
 }
 
 // Close tears the job down if it is still running and releases the
 // stream; idempotent (see mr.Pipe.Close for the early-close contract).
-func (s *ResultStream) Close() error { return s.pipe.Close() }
+func (s *ResultStream) Close() error { return s.job.pipe.Close() }
 
 // Rows reports how many rows the stream has yielded so far.
 func (s *ResultStream) Rows() int64 { return s.rows }
 
 // Stats returns the job's counters; valid once the stream has ended.
-func (s *ResultStream) Stats() mr.JobStats { return s.pipe.Stats() }
+func (s *ResultStream) Stats() mr.JobStats {
+	js, _ := s.job.e.price(s.job.members, s.job.pipe.Stats())
+	return js
+}
 
 // Estimate returns the simulated response time on the engine's cluster,
 // including any sampling overhead; valid once the stream has ended.
 func (s *ResultStream) Estimate() costmodel.Estimate {
-	est := EstimateFromStats(s.eng.cfg.Cluster, s.pipe.Stats())
-	est.ReduceSeconds += s.SampleSeconds
+	_, est := s.job.e.price(s.job.members, s.job.pipe.Stats())
 	return est
 }
